@@ -78,9 +78,13 @@ serve-smoke:
 # The failure-drill integration test under the race detector: a scripted
 # mid-trace crash with health checking, admission retry, and automatic
 # re-replication, asserting single settlement, zero leaked bandwidth, and
-# live-vs-sim post-failure parity.
+# live-vs-sim post-failure parity. Then ten race-detector passes over the
+# dispatch engine's shard tests and the ingress chaos test: their races
+# (a close landing mid-failover, evictions racing admissions) show only in
+# some interleavings, so one pass misses them.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -v .
+	$(GO) test -race -run 'TestSharded|TestIngressChaos' -count=10 ./internal/serve/
 
 # The counterfactual-harness self-check: a tiny two-policy lockstep over one
 # shared trace. -smoke asserts the reference compared against itself yields

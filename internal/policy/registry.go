@@ -1,16 +1,15 @@
 // Package policy is the single name table of replica-scheduling policies.
 // Every layer that resolves a policy by name — the simulator pipeline
-// (vodcluster.SchedulerFactory), the live dispatch daemon (serve.NewPolicy),
+// (vodcluster.SchedulerFactory), the live dispatch daemon (serve.New),
 // the sweep harness (vodsim -sweep -series), and the counterfactual
 // lockstep runner (internal/exp, cmd/vodab) — resolves it here, so adding a
 // policy in one place makes it available, listable, and comparable
 // everywhere at once.
 //
 // The registry holds the simulator-side constructors (cluster.Scheduler);
-// the serve layer keeps its lock-free concurrent implementations in
-// internal/serve but advertises and validates their names through this
-// table (Entry.Serve), so the two layers can never drift apart on what a
-// name means.
+// the serve layer keeps its lock-free dispatch rankers in internal/serve but
+// advertises and validates their names through this table (Entry.Serve),
+// so the two layers can never drift apart on what a name means.
 package policy
 
 import (
@@ -33,7 +32,7 @@ type Entry struct {
 	NewScheduler func() cluster.Scheduler
 	// Serve reports that internal/serve ships a lock-free concurrent
 	// implementation under the same name (the registry only advertises it;
-	// serve.NewPolicy constructs it).
+	// serve.New constructs it).
 	Serve bool
 }
 
@@ -115,7 +114,7 @@ func Names() []string {
 // dispatch model.
 const Default = "static-rr"
 
-// simPrefix marks the serve layer's locked sim-parity adapters.
+// simPrefix marks the serve layer's snapshot-verified sim-parity forms.
 const simPrefix = "sim:"
 
 // Lookup resolves a policy name; the empty name resolves to Default. An
@@ -145,8 +144,8 @@ func SchedulerFactory(name string, withRedirect bool) (func() cluster.Scheduler,
 	return func() cluster.Scheduler { return redirect.New(e.NewScheduler()) }, nil
 }
 
-// ServeNames lists the names serve.NewPolicy accepts: the lock-free
-// concurrent policies first, then one "sim:" locked sim-parity adapter per
+// ServeNames lists the names serve.New accepts: the lock-free concurrent
+// policies first, then one "sim:" snapshot-verified sim-parity form per
 // registry entry.
 func ServeNames() []string {
 	names := make([]string, 0, 2*len(registry))
@@ -161,9 +160,9 @@ func ServeNames() []string {
 	return names
 }
 
-// IsServeName reports whether name is accepted by serve.NewPolicy: a
-// lock-free serve policy, a "sim:" adapter over a registered scheduler, or
-// the empty default.
+// IsServeName reports whether name is accepted by serve.New: a lock-free
+// serve policy, a "sim:" form of a registered scheduler, or the empty
+// default.
 func IsServeName(name string) bool {
 	if name == "" {
 		return true
@@ -176,7 +175,7 @@ func IsServeName(name string) bool {
 	return ok && registry[i].Serve
 }
 
-// UnknownServeError is the error serve.NewPolicy returns for a name outside
+// UnknownServeError is the error serve.New returns for a name outside
 // ServeNames, listing the accepted names from the registry.
 func UnknownServeError(name string) error {
 	return fmt.Errorf("policy: unknown serve policy %q (available: %s)", name, strings.Join(ServeNames(), ", "))
@@ -203,7 +202,7 @@ func List() string {
 }
 
 // ServeList renders the serve-layer name table with one-line descriptions:
-// the lock-free policies, then the locked sim-parity adapters.
+// the lock-free policies, then the snapshot-verified sim-parity forms.
 func ServeList() string {
 	var b strings.Builder
 	names := ServeNames()
@@ -216,7 +215,7 @@ func ServeList() string {
 	for _, n := range names {
 		if base, ok := strings.CutPrefix(n, simPrefix); ok {
 			e, _ := Lookup(base)
-			fmt.Fprintf(&b, "  %-*s  locked sim-parity adapter: %s\n", w, n, e.Description)
+			fmt.Fprintf(&b, "  %-*s  snapshot-verified sim-parity form: %s\n", w, n, e.Description)
 			continue
 		}
 		e, _ := Lookup(n)

@@ -299,15 +299,7 @@ func (c *Cluster) TryReserveBandwidth(s int, rate int64) bool {
 // ReleaseBandwidth frees a TryReserveBandwidth charge.
 func (c *Cluster) ReleaseBandwidth(s int, rate int64) { c.used[s].Add(-rate) }
 
-// ForceCharge charges rate to server s without a capacity check — used by
-// policies whose own accounting (a locked cluster.State) already admitted
-// the stream, so the concurrent gauges stay in step.
-func (c *Cluster) ForceCharge(s int, rate int64) {
-	c.used[s].Add(rate)
-	c.active[s].Add(1)
-}
-
-// Release frees a reservation made by TryReserve or ForceCharge.
+// Release frees a reservation made by TryReserve.
 func (c *Cluster) Release(s int, rate int64) {
 	c.used[s].Add(-rate)
 	c.active[s].Add(-1)
@@ -325,10 +317,6 @@ func (c *Cluster) TryReserveBackbone(rate int64) bool {
 		}
 	}
 }
-
-// ForceChargeBackbone charges the backbone without a capacity check (locked
-// policies own the check).
-func (c *Cluster) ForceChargeBackbone(rate int64) { c.backboneUsed.Add(rate) }
 
 // ReleaseBackbone frees a backbone reservation.
 func (c *Cluster) ReleaseBackbone(rate int64) { c.backboneUsed.Add(-rate) }

@@ -40,8 +40,8 @@ type layoutBody struct {
 	// ReplicatedBytes is the total storage footprint of every replica in the
 	// live directory.
 	ReplicatedBytes float64 `json:"replicated_bytes"`
-	// Shards is the number of dispatch shards the daemon runs (1 = legacy
-	// single-queue path).
+	// Shards is the number of dispatch shards the daemon runs (1 = one
+	// owner goroutine commits every admission).
 	Shards int `json:"shards"`
 }
 

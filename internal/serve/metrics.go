@@ -47,7 +47,7 @@ type Metrics struct {
 	evictions       atomic.Int64 // surplus replicas removed by rebalancing
 
 	snapshotConflicts atomic.Int64 // snapshot-and-verify admissions retried on a stale shard version
-	shards            atomic.Int64 // dispatch shards in use (1 = legacy single-queue daemon)
+	shards            atomic.Int64 // dispatch shards in use (1 = one owner commits every admission)
 
 	latCount atomic.Int64
 	latSumNs atomic.Int64
@@ -231,8 +231,7 @@ func (m *Metrics) SnapshotConflict() { m.snapshotConflicts.Add(1) }
 // SnapshotConflicts returns the snapshot-and-verify retry count so far.
 func (m *Metrics) SnapshotConflicts() int64 { return m.snapshotConflicts.Load() }
 
-// SetShards records how many dispatch shards the daemon runs (1 = legacy
-// single-queue path).
+// SetShards records how many dispatch shards the daemon runs.
 func (m *Metrics) SetShards(n int) { m.shards.Store(int64(n)) }
 
 // Probe records one health-probe result.

@@ -1,184 +1,39 @@
 package serve
 
 import (
-	"sort"
-	"strings"
-	"sync/atomic"
-
 	"vodcluster/internal/policy"
 )
 
 // Grant is one admitted stream's reservation: which server's outgoing link
-// carries it, which replica feeds it, and the charged rate. Policies create
-// grants (charging the Cluster as part of admission) and release them.
+// carries it, which replica feeds it, and the charged rate. The shard owner
+// that commits an admission creates the grant (charging the Cluster) and
+// whoever settles the session returns it through engine.release.
 type Grant struct {
 	Video      int
 	Server     int
 	Source     int
 	Rate       int64 // bits/s charged to Server's outgoing link
 	Redirected bool  // the stream crosses the backbone from Source to Server
-
-	simID int64 // stream handle of the locked sim-parity policy, else 0
-}
-
-// Policy decides and books admissions against the shared Cluster. Admit
-// must be safe for concurrent use; on success the grant's resources are
-// already charged and Release must eventually return them.
-type Policy interface {
-	// Name identifies the policy in /metrics and reports.
-	Name() string
-	// Admit attempts to admit one stream of video v.
-	Admit(v int) (Grant, bool)
-	// Release frees an admitted grant's resources.
-	Release(g Grant)
-	// Failover re-admits a stream of video v onto a replica holder other
-	// than exclude, for sessions interrupted by a backend drain. The floor
-	// semantics match resilience.TryFailover under the fixed-rate model.
-	Failover(v, exclude int) (Grant, bool)
 }
 
 // PolicyNames lists the accepted -policy values from the shared registry:
-// the lock-free policies first, then the locked sim-parity adapters (see
-// NewSimPolicy).
+// the lock-free policies first, then the snapshot-verified sim-parity forms.
 func PolicyNames() []string { return policy.ServeNames() }
 
-// NewPolicy resolves a policy name against a cluster. Names without the
-// "sim:" prefix select the lock-free implementations; "sim:" names wrap the
-// exact simulator schedulers (any registered cluster.Scheduler, plus
-// redirect when the problem defines backbone bandwidth) behind a mutex.
-// Unknown names report the registry's full name table.
-func NewPolicy(name string, c *Cluster) (Policy, error) {
-	if base, ok := strings.CutPrefix(name, "sim:"); ok {
-		return NewSimPolicy(base, c)
-	}
-	switch name {
-	case "", "least-loaded":
-		return &leastLoaded{c: c}, nil
-	case "first-available":
-		return newRotating(c, true), nil
-	case "static-rr":
-		return newRotating(c, false), nil
-	}
-	return nil, policy.UnknownServeError(name)
-}
-
-// leastLoaded is the lock-free analogue of cluster.LeastLoaded: serve from
-// the replica holder with the most free outgoing bandwidth, reject when that
-// holder lacks room. A failed CAS (a racing admission landed first) re-picks
-// the best holder instead of falling back to a worse one, mirroring the
-// sequential policy's single-candidate semantics as closely as a concurrent
-// admission can.
-type leastLoaded struct {
-	c *Cluster
-}
-
-func (p *leastLoaded) Name() string { return "least-loaded" }
-
-func (p *leastLoaded) Admit(v int) (Grant, bool) {
-	rate := p.c.Rate(v)
-	for {
-		best, bestFree := -1, int64(0)
-		for _, s := range p.c.Holders(v) {
-			if p.c.Draining(s) {
-				continue
-			}
-			if free := p.c.Free(s); free > bestFree {
-				best, bestFree = s, free
-			}
-		}
-		if best == -1 || bestFree < rate {
-			return Grant{}, false
-		}
-		if p.c.TryReserve(best, rate) {
-			return Grant{Video: v, Server: best, Source: best, Rate: rate}, true
-		}
-		// Lost the race for this holder; re-evaluate under the new loads.
-	}
-}
-
-func (p *leastLoaded) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
-
-func (p *leastLoaded) Failover(v, exclude int) (Grant, bool) {
-	return failoverMostFree(p.c, v, exclude)
-}
-
-// rotating implements the paper's static round-robin dispatch (§3.2) and its
-// first-available refinement with a per-video atomic cursor: every request
-// advances the cursor exactly once, accepted or not, preserving the fixed
-// rotation under concurrency.
-type rotating struct {
-	c      *Cluster
-	cursor []atomic.Int64 // per-video rotation position
-	probe  bool           // true: try the remaining holders before rejecting
-}
-
-func newRotating(c *Cluster, probe bool) *rotating {
-	return &rotating{c: c, cursor: make([]atomic.Int64, c.Videos()), probe: probe}
-}
-
-func (p *rotating) Name() string {
-	if p.probe {
-		return "first-available"
-	}
-	return "static-rr"
-}
-
-func (p *rotating) Admit(v int) (Grant, bool) {
-	holders := p.c.Holders(v)
-	if len(holders) == 0 {
-		return Grant{}, false
-	}
-	rate := p.c.Rate(v)
-	k := int((p.cursor[v].Add(1) - 1) % int64(len(holders)))
-	tries := 1
-	if p.probe {
-		tries = len(holders)
-	}
-	for i := 0; i < tries; i++ {
-		s := holders[(k+i)%len(holders)]
-		if p.c.TryReserve(s, rate) {
-			return Grant{Video: v, Server: s, Source: s, Rate: rate}, true
-		}
-	}
-	return Grant{}, false
-}
-
-func (p *rotating) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
-
-func (p *rotating) Failover(v, exclude int) (Grant, bool) {
-	return failoverMostFree(p.c, v, exclude)
-}
-
-// failoverMostFree re-admits one stream of v onto the surviving holder with
-// the most free outgoing bandwidth, skipping exclude and draining servers —
-// the serve-layer counterpart of resilience.TryFailover (fixed-rate model,
-// so the best copy is simply the least-loaded live holder). Candidates are
-// tried in decreasing free-bandwidth order so a lost CAS race falls through
-// to the next-best holder.
-func failoverMostFree(c *Cluster, v, exclude int) (Grant, bool) {
-	rate := c.Rate(v)
-	type cand struct {
-		s    int
-		free int64
-	}
-	cands := make([]cand, 0, len(c.Holders(v)))
-	for _, s := range c.Holders(v) {
-		if s == exclude || c.Draining(s) {
-			continue
-		}
-		if free := c.Free(s); free >= rate {
-			cands = append(cands, cand{s, free})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].free != cands[j].free {
-			return cands[i].free > cands[j].free
-		}
-		return cands[i].s < cands[j].s
-	})
-	for _, cd := range cands {
-		if c.TryReserve(cd.s, rate) {
-			return Grant{Video: v, Server: cd.s, Source: cd.s, Rate: rate}, true
+// failover re-admits one stream of v onto the surviving holder with the most
+// free outgoing bandwidth — the serve-layer counterpart of
+// resilience.TryFailover (fixed-rate model, so the best copy is simply the
+// least-loaded live holder). It walks the least-loaded ranking, so a lost
+// reservation race falls through to the next-best holder. The evicted
+// backend is already ineligible when the eviction scan runs, so the ranking
+// skips it without an explicit exclusion.
+func (e *engine) failover(v int) (Grant, bool) {
+	rate := e.s.c.Rate(v)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	for _, b := range (llRanker{}).rank(e.s.c, v, rate, sc) {
+		if e.reserve(b, rate) {
+			return Grant{Video: v, Server: b, Source: b, Rate: rate}, true
 		}
 	}
 	return Grant{}, false

@@ -1,11 +1,5 @@
 package serve
 
-import (
-	"fmt"
-
-	"vodcluster/internal/obs"
-)
-
 // Rebalancer is the hook a live placement controller (internal/rebalance)
 // implements. The serve layer defines the interface so the dependency points
 // outward: nothing under serve imports the controller, and a daemon without
@@ -71,113 +65,58 @@ func (s *Server) observeDemand(v int) {
 }
 
 // LandReplica publishes a migrated replica of video v on backend b: the
-// rebalancer's counterpart of the repairer's settle path. The holder list is
-// republished atomically, the copy is mirrored into a sim-parity policy when
-// one is active (divergence keeps the live directory authoritative, matching
-// the repairer), and vod_migrations_total counts it.
+// rebalancer's counterpart of the repairer's settle path. The landing routes
+// through b's shard owner so it serializes with that shard's admission
+// stream; the holder list is republished atomically and
+// vod_migrations_total counts it.
 func (s *Server) LandReplica(v, b int) error {
-	if v < 0 || v >= s.c.Videos() {
-		return ErrNoReplica
+	if err := s.checkReplica(v, b); err != nil {
+		return err
 	}
-	if b < 0 || b >= s.c.Servers() {
-		return &BackendRangeError{Backend: b, Servers: s.c.Servers()}
-	}
-	if s.eng != nil {
-		// Sharded dispatch: the landing routes through b's shard owner so it
-		// serializes with that shard's admission stream.
-		return s.eng.landReplica(v, b)
-	}
-	if s.c.State(b) == BackendDown {
-		return ErrBackendDown
-	}
-	if !s.c.AddHolder(v, b) {
-		return fmt.Errorf("serve: backend %d already holds video %d", b, v)
-	}
-	if m, ok := s.pol.(interface{ AddReplica(v, s int) error }); ok {
-		if err := m.AddReplica(v, b); err != nil {
-			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,
-				Video: v, Server: b, Detail: "migration mirror error: " + err.Error()})
-		}
-	}
-	s.met.Migrated()
-	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,
-		Video: v, Server: b, Detail: "replica migrated in"})
-	return nil
+	_, err := s.eng.directory(opLand, v, b)
+	return err
 }
 
 // PinnedSessions counts live sessions pinned to video v's replica on backend
 // b: sessions streaming v from b's outgoing link plus redirected sessions of
-// v sourced from b's copy. A pinned replica must not be evicted.
+// v sourced from b's copy, across every shard registry. A pinned replica
+// must not be evicted.
 func (s *Server) PinnedSessions(v, b int) int {
-	if s.eng != nil {
-		return s.eng.pinnedSessions(v, b)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, sess := range s.sessions {
-		if sess.video == v && (sess.grant.Server == b || sess.grant.Source == b) {
-			n++
+	for _, sh := range s.eng.shards {
+		sh.regMu.Lock()
+		for _, sess := range sh.reg {
+			if sess.video == v && (sess.grant.Server == b || sess.grant.Source == b) {
+				n++
+			}
 		}
+		sh.regMu.Unlock()
 	}
 	return n
 }
 
 // EvictReplica removes video v's replica from backend b when it is safe: the
 // copy must exist, must not be the video's last live copy, and must have no
-// pinned sessions. The pinned check runs again after the holder list shrinks
-// — a session admitted between check and removal rolls the eviction back, so
-// an admission racing the eviction never loses its replica. On success the
-// eviction is mirrored into a sim-parity policy when one is active.
+// pinned sessions. The eviction runs on b's shard owner, exclusive with every
+// admission that could pin the replica on that shard, and the pinned check
+// runs again after the holder list shrinks — a session admitted between
+// check and removal rolls the eviction back, so an admission racing the
+// eviction never loses its replica.
 func (s *Server) EvictReplica(v, b int) error {
+	if err := s.checkReplica(v, b); err != nil {
+		return err
+	}
+	_, err := s.eng.directory(opEvict, v, b)
+	return err
+}
+
+// checkReplica validates a (video, backend) pair named by the rebalancer.
+func (s *Server) checkReplica(v, b int) error {
 	if v < 0 || v >= s.c.Videos() {
 		return ErrNoReplica
 	}
 	if b < 0 || b >= s.c.Servers() {
 		return &BackendRangeError{Backend: b, Servers: s.c.Servers()}
 	}
-	if s.eng != nil {
-		// Sharded dispatch: the eviction runs on b's shard owner, exclusive
-		// with every admission that could pin the replica on this shard.
-		return s.eng.evictReplica(v, b)
-	}
-	if !holds(s.c, v, b) {
-		return ErrNoReplica
-	}
-	// At least one other holder must remain readable or the video would
-	// become unservable (constraint Eq. 7 on the live directory).
-	live := 0
-	for _, h := range s.c.Holders(v) {
-		if h != b && s.c.State(h) != BackendDown {
-			live++
-		}
-	}
-	if live == 0 {
-		return ErrLastReplica
-	}
-	if s.PinnedSessions(v, b) > 0 {
-		return ErrReplicaPinned
-	}
-	if !s.c.RemoveHolder(v, b) {
-		return ErrLastReplica // lost a race that shrank the list to one
-	}
-	// Re-check under the post-removal directory: an admission that pinned the
-	// replica between our check and the removal saw the old holder list, so
-	// put the copy back and let the caller retry after the session drains.
-	if s.PinnedSessions(v, b) > 0 {
-		s.c.AddHolder(v, b)
-		return ErrReplicaPinned
-	}
-	if m, ok := s.pol.(interface{ RemoveReplica(v, s int) error }); ok {
-		if err := m.RemoveReplica(v, b); err != nil {
-			// The locked mirror disagrees (e.g. a sim-side stream still pins
-			// the copy); restore the live directory so the two stay in step.
-			s.c.AddHolder(v, b)
-			return err
-		}
-	}
-	s.met.Evicted()
-	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,
-		Video: v, Server: b, Detail: "replica evicted"})
 	return nil
 }

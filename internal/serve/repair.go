@@ -69,8 +69,8 @@ type RepairAction struct {
 // threshold — the aftermath of a backend crash — and restores copies on
 // surviving servers. Each in-flight copy reserves CopyRate on the backbone
 // (or the source's outgoing link) for size·8/CopyRate virtual seconds; a
-// landed copy is published to the Cluster's holder lists, mirrored into a
-// sim-parity policy when one is active, journaled, and counted in
+// landed copy is published to the Cluster's holder lists through the
+// destination's shard owner, journaled, and counted in
 // vod_rereplications_total.
 type Repairer struct {
 	s   *Server
@@ -352,15 +352,6 @@ func (r *Repairer) settleCopy(v, src, dst int, finished bool) {
 	case !r.s.landRepair(v, dst):
 		abort("destination already holds a replica")
 	default:
-		if m, ok := r.s.pol.(interface{ AddReplica(v, s int) error }); ok {
-			if err := m.AddReplica(v, dst); err != nil {
-				// The concurrent holder list and the locked mirror disagree
-				// (e.g. mirror storage exhausted); keep serving from the
-				// live list but journal the divergence.
-				r.log(RepairAction{TimeNS: r.s.tracer.NowNS(), Action: "mirror-error",
-					Video: v, Src: src, Dst: dst, Detail: err.Error()})
-			}
-		}
 		r.completed.Add(1)
 		r.s.met.ReReplicated()
 		r.log(RepairAction{TimeNS: r.s.tracer.NowNS(), Action: "complete", Video: v, Src: src, Dst: dst})

@@ -3,18 +3,21 @@
 // problem/layout pair (from the replicate/place pipeline or a persisted
 // plan), tracks per-backend outgoing bandwidth with lock-free atomic
 // accounting (Cluster), and admits, rejects, or redirects session requests
-// through an admission Policy — either the lock-free concurrent policies or
-// the locked sim-parity adapters over the exact cluster.Scheduler/redirect
-// implementations the simulator uses.
+// through one dispatch engine (shard.go): the servers are split into
+// Config.Shards groups, each owned by a dispatcher goroutine that commits
+// admissions onto its servers, and the configured policy is a lock-free
+// ranker of candidate servers — the sim:* forms verify their decision
+// against a shard-version snapshot and add backbone redirection, mirroring
+// the cluster.Scheduler/redirect rules the simulator uses.
 //
-// Every admitted session runs as its own goroutine holding a
-// context.WithTimeout for the (time-compressed) video duration; ending the
-// context — natural expiry, client cancel, backend drain without a failover
-// target, or daemon shutdown — releases the session's bandwidth reservation
-// exactly once. Backend drain marks a server ineligible for new placements
-// and fails its active sessions over to surviving replica holders
-// (resilience semantics); daemon drain stops admissions and waits for the
-// active sessions to run out.
+// Every admitted session lives in its birth shard's registry with a
+// (time-compressed) deadline on that shard's expiry heap; natural expiry,
+// client close, backend drain without a failover target, or daemon shutdown
+// removes the registry entry and so releases the session's bandwidth
+// reservation exactly once. Backend drain marks a server ineligible for new
+// placements and fails its active sessions over to surviving replica
+// holders (resilience semantics); daemon drain stops admissions and waits
+// for the active sessions to run out.
 //
 // The paper connection: this is §5's dispatch model made operational —
 // admission control on per-server outgoing bandwidth, replica choice by the
@@ -26,7 +29,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,16 +58,12 @@ type SessionInfo struct {
 	ExpiresInS float64 `json:"expires_in_s"`
 }
 
-// session is the server-side record: the live grant plus the lifetime
-// handle of whichever engine owns it — the cancel handle of the session
-// goroutine's context on the single-shard path, the expiry deadline the
-// owning shard's heap fires on under sharded dispatch.
+// session is the server-side record of one admitted stream: its id, video,
+// and current grant (swapped in place by a failover).
 type session struct {
-	id       int64
-	video    int
-	grant    Grant
-	cancel   context.CancelFunc
-	deadline time.Time
+	id    int64
+	video int
+	grant Grant
 }
 
 // Config tunes a Server beyond the problem/layout pair.
@@ -101,9 +99,8 @@ type Config struct {
 	// Shards partitions the cluster's servers into that many admission
 	// shards, each owned by one dispatcher goroutine draining its queue in
 	// batches and committing admissions onto its own servers (DESIGN.md
-	// §15). 0 or 1 keeps the original single-shard engine — the
-	// bit-identical code path the live-vs-sim smoke cross-checks validate.
-	// Values above the server count are clamped to it.
+	// §15). 0 or 1 means one shard owning every server; values above the
+	// server count are clamped to it.
 	Shards int
 }
 
@@ -111,7 +108,7 @@ type Config struct {
 // are safe for concurrent use.
 type Server struct {
 	c          *Cluster
-	pol        Policy
+	eng        *engine
 	met        *Metrics
 	tracer     *obs.Tracer
 	admitDelay time.Duration
@@ -121,21 +118,15 @@ type Server struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
-	mu       sync.Mutex
-	sessions map[int64]*session
-	nextID   atomic.Int64
-	activeN  atomic.Int64 // mirrors len(sessions) for lock-free depth reads
+	activeN  atomic.Int64 // live sessions across every shard registry
 	draining atomic.Bool
 
 	retry *retrier // nil unless Config.Retry enabled admission retry
-	eng   *engine  // nil unless Config.Shards enabled sharded dispatch
 
 	hc  atomic.Pointer[HealthChecker] // attached health-check loop, if any
 	rep atomic.Pointer[Repairer]      // attached re-replication repairer, if any
 	reb atomic.Pointer[Rebalancer]    // attached placement controller, if any
 	inj atomic.Pointer[faults.Injector]
-
-	wg sync.WaitGroup // live session goroutines
 }
 
 // New builds a Server for a validated problem/layout pair.
@@ -143,16 +134,6 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 	c, err := NewCluster(p, layout)
 	if err != nil {
 		return nil, err
-	}
-	var pol Policy
-	if cfg.Shards <= 1 {
-		// The sharded engine replaces the Policy object wholesale (rankers
-		// plus owner-side commits), so it is only constructed on the
-		// single-shard path.
-		pol, err = NewPolicy(cfg.Policy, c)
-		if err != nil {
-			return nil, err
-		}
 	}
 	compress := cfg.Compress
 	if compress == 0 {
@@ -164,7 +145,6 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		c:          c,
-		pol:        pol,
 		met:        NewMetrics(streamCeiling(p)),
 		tracer:     cfg.Tracer,
 		admitDelay: cfg.AdmitDelay,
@@ -172,24 +152,16 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		maxWall:    cfg.MaxSessionWall,
 		baseCtx:    ctx,
 		baseStop:   stop,
-		sessions:   make(map[int64]*session),
 	}
-	if cfg.Shards > 1 {
-		eng, err := newEngine(s, cfg.Shards, cfg.Policy)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		s.eng = eng
+	if s.eng, err = newEngine(s, cfg.Shards, cfg.Policy); err != nil {
+		stop()
+		return nil, err
 	}
 	if cfg.Retry != nil {
 		r, err := newRetrier(s, *cfg.Retry)
 		if err != nil {
 			stop()
-			s.wg.Wait()
-			if s.eng != nil {
-				s.eng.wait()
-			}
+			s.eng.wait()
 			return nil, err
 		}
 		s.retry = r
@@ -232,25 +204,13 @@ func (s *Server) Metrics() *Metrics { return s.met }
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // PolicyName reports the active admission policy.
-func (s *Server) PolicyName() string {
-	if s.eng != nil {
-		return s.eng.name
-	}
-	return s.pol.Name()
-}
+func (s *Server) PolicyName() string { return s.eng.name }
 
 // Compress reports the time-compression factor sessions run under.
 func (s *Server) Compress() float64 { return s.compress }
 
 // Active returns the number of live sessions.
-func (s *Server) Active() int64 {
-	if s.eng != nil {
-		return s.activeN.Load()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.sessions))
-}
+func (s *Server) Active() int64 { return s.activeN.Load() }
 
 // Draining reports whether the daemon refuses new sessions.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -264,10 +224,10 @@ func (s *Server) wallDuration(v int) time.Duration {
 	return d
 }
 
-// Open runs one admission decision for video v. On acceptance the session
-// goroutine is already running and will release the reservation when the
-// session's context ends. The returned outcome distinguishes a capacity
-// rejection from a drain refusal.
+// Open runs one admission decision for video v. On acceptance the session is
+// registered with its birth shard, which releases the reservation at the
+// session's deadline unless a close or eviction ends it first. The returned
+// outcome distinguishes a capacity rejection from a drain refusal.
 func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 	arriveNS := s.tracer.NowNS()
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindArrive, Video: v})
@@ -280,29 +240,60 @@ func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 	return info, outcome, nil
 }
 
-// attempt runs one admission attempt against the policy. settleReject
+// attempt runs one admission attempt: rank candidates lock-free, submit the
+// commit to the owning shard, retry on snapshot conflicts. settleReject
 // controls whether a capacity rejection is recorded as a settled decision:
 // the retry path passes false for attempts it may later convert into an
 // acceptance and records the one final outcome itself, so retries never
 // inflate the request counters. Accepted and draining outcomes are always
 // final and always recorded here.
 func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
-	if s.eng != nil {
-		return s.eng.attempt(v, arriveNS, settleReject)
-	}
+	e := s.eng
 	start := time.Now()
 	if s.admitDelay > 0 {
 		time.Sleep(s.admitDelay)
 	}
 	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
 	if s.draining.Load() {
-		s.met.Decision(false, false, true, time.Since(start))
-		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
-			DurNS: s.tracer.NowNS() - arriveNS})
-		return SessionInfo{}, OutcomeDraining
+		return s.refuseDraining(v, arriveNS, start)
 	}
-	g, ok := s.pol.Admit(v)
-	if !ok {
+	rate := s.c.Rate(v)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	for try := 0; ; try++ {
+		verify := e.verify && try < maxSnapshotRetries
+		if verify {
+			vers := sc.vers[:0]
+			for _, sh := range e.shards {
+				vers = append(vers, sh.version.Load())
+			}
+			sc.vers = vers
+		}
+		var info SessionInfo
+		res := refused
+		for _, b := range e.rk.rank(s.c, v, rate, sc) {
+			if info, res = e.commit(sc, verify, v, b, b, rate); res != refused {
+				break
+			}
+		}
+		if res == refused && e.redirect {
+			if b, src := redirectTarget(s.c, v, rate); b >= 0 {
+				info, res = e.commit(sc, verify, v, b, src, rate)
+			}
+		}
+		switch res {
+		case accepted:
+			s.met.Decision(true, info.Redirected, false, time.Since(start))
+			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
+				Session: info.ID, Video: v, Server: info.Server,
+				DurNS: s.tracer.NowNS() - arriveNS})
+			return info, OutcomeAccepted
+		case conflicted:
+			s.met.SnapshotConflict()
+			continue // re-decide against a fresh snapshot
+		case stopped: // the daemon is shutting down
+			return s.refuseDraining(v, arriveNS, start)
+		}
 		if settleReject {
 			s.met.Decision(false, false, false, time.Since(start))
 			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
@@ -310,89 +301,28 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 		}
 		return SessionInfo{}, OutcomeRejected
 	}
-	wall := s.wallDuration(v)
-	ctx, cancel := context.WithTimeout(s.baseCtx, wall)
-	sess := &session{id: s.nextID.Add(1), video: v, grant: g, cancel: cancel}
-	s.mu.Lock()
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-	s.activeN.Add(1)
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		<-ctx.Done()
-		cancel()
-		s.finish(sess, ctx.Err() == context.DeadlineExceeded)
-	}()
-
-	s.met.Decision(true, g.Redirected, false, time.Since(start))
-	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
-		Session: sess.id, Video: v, Server: g.Server,
-		DurNS: s.tracer.NowNS() - arriveNS})
-	return SessionInfo{
-		ID:         sess.id,
-		Video:      v,
-		Server:     g.Server,
-		Source:     g.Source,
-		RateBps:    g.Rate,
-		Redirected: g.Redirected,
-		ExpiresInS: wall.Seconds(),
-	}, OutcomeAccepted
 }
 
-// finish settles one ended session exactly once: it removes the registry
-// entry (if a drain or close has not already done so) and returns the
-// current grant's resources. natural reports whether the context ended by
-// its own deadline (a completed playback) rather than a cancel.
-func (s *Server) finish(sess *session, natural bool) {
-	s.mu.Lock()
-	cur, ok := s.sessions[sess.id]
-	if ok {
-		delete(s.sessions, sess.id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return // dropped by a drain; resources already settled there
-	}
-	s.activeN.Add(-1)
-	s.pol.Release(cur.grant)
-	if natural {
-		s.met.Completed()
-		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindEnd,
-			Session: sess.id, Video: sess.video, Server: cur.grant.Server})
-	} else {
-		s.met.Canceled()
-		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-			Session: sess.id, Video: sess.video, Server: cur.grant.Server, Detail: "canceled"})
-	}
+// refuseDraining settles one request refused because the daemon drains.
+func (s *Server) refuseDraining(v int, arriveNS int64, start time.Time) (SessionInfo, Outcome) {
+	s.met.Decision(false, false, true, time.Since(start))
+	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
+		DurNS: s.tracer.NowNS() - arriveNS})
+	return SessionInfo{}, OutcomeDraining
 }
 
 // Close ends session id early (the client hung up). It reports whether the
-// session was live.
+// session was live; ids route to their birth shard's registry.
 func (s *Server) Close(id int64) bool {
-	if s.eng != nil {
-		return s.eng.close(id)
-	}
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	sess.cancel() // the session goroutine settles it via finish
-	return true
+	return id >= 0 && s.eng.birth(id).settle(id, false)
 }
 
-// landRepair publishes a repaired replica of video v on backend dst; the
-// sharded engine routes the landing through dst's shard owner so it
-// serializes with that shard's admission stream. It reports whether the copy
-// became a new replica (false: dst already held one).
+// landRepair publishes a repaired replica of video v on backend dst through
+// dst's shard owner. It reports whether the copy became a new replica
+// (false: dst already held one).
 func (s *Server) landRepair(v, dst int) bool {
-	if s.eng != nil {
-		return s.eng.landRepair(v, dst)
-	}
-	return s.c.AddHolder(v, dst)
+	ok, err := s.eng.directory(opRepair, v, dst)
+	return ok && err == nil
 }
 
 // claimState moves backend b into target (BackendDraining or BackendDown)
@@ -428,9 +358,6 @@ func (s *Server) DrainBackend(b int) (failedOver, dropped int, err error) {
 	if err := s.claimState(b, BackendDraining); err != nil {
 		return 0, 0, err
 	}
-	if d, ok := s.pol.(interface{ DrainBackend(int) }); ok {
-		d.DrainBackend(b) // sim-parity policies mirror the drain into their state
-	}
 	failedOver, dropped = s.evictSessions(b, "drained")
 	return failedOver, dropped, nil
 }
@@ -450,9 +377,6 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 	s.met.BackendFailed()
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindHealth,
 		Server: b, Detail: "down"})
-	if d, ok := s.pol.(interface{ FailBackend(int) }); ok {
-		d.FailBackend(b) // sim-parity policies mirror the crash into their state
-	}
 	failedOver, dropped = s.evictSessions(b, "failed")
 	if r := s.rep.Load(); r != nil {
 		r.Kick() // scan for under-replicated videos now, not at the next tick
@@ -462,75 +386,81 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 
 // evictSessions settles every session that ineligible backend b was serving
 // or sourcing: failover onto a surviving replica holder where capacity
-// allows, teardown otherwise. The registry lock makes each settlement
-// exclusive with the session's own finish path, so every affected session's
-// bandwidth is released exactly once however the eviction races against
-// natural completions, client closes, or other backends' evictions. The
-// snapshot-and-settle loop repeats until no session references b, catching
-// sessions another backend's eviction concurrently failed over *onto* b
-// after its reservation but before our snapshot.
+// allows, teardown otherwise. Each session stays in its birth registry while
+// its failover grant is reserved; the new grant is swapped in (or the entry
+// removed, for a teardown) under the registry lock, so a racing Close,
+// expiry, or other eviction settles every session exactly once. The scan
+// repeats until no session references b, catching sessions another
+// backend's eviction concurrently failed over *onto* b. It stops early when
+// b returns to service: a restored backend keeps its sessions, and the
+// failover ranking, which skips b only while b is ineligible, could
+// otherwise move them back onto b forever.
 func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
-	if s.eng != nil {
-		return s.eng.evictSessions(b, cause)
+	e := s.eng
+	type victim struct {
+		id    int64
+		video int
 	}
-	for {
-		s.mu.Lock()
-		var affected []*session
-		for _, sess := range s.sessions {
-			if sess.grant.Server == b || sess.grant.Source == b {
-				affected = append(affected, sess)
+	for !s.c.Eligible(b) {
+		var affected []victim
+		for _, sh := range e.shards {
+			sh.regMu.Lock()
+			for id, sess := range sh.reg {
+				if sess.grant.Server == b || sess.grant.Source == b {
+					affected = append(affected, victim{id, sess.video})
+				}
 			}
+			sh.regMu.Unlock()
 		}
-		s.mu.Unlock()
 		if len(affected) == 0 {
-			return failedOver, dropped
+			break
 		}
-		for _, sess := range affected {
-			ng, ok := s.pol.Failover(sess.video, b)
-			s.mu.Lock()
-			cur, live := s.sessions[sess.id]
+		for _, a := range affected {
+			ng, ok := e.failover(a.video)
+			sh := e.birth(a.id)
+			sh.regMu.Lock()
+			cur, live := sh.reg[a.id]
 			if !live || (cur.grant.Server != b && cur.grant.Source != b) {
 				// Ended or moved concurrently; undo our failover reservation.
-				s.mu.Unlock()
+				sh.regMu.Unlock()
 				if ok {
-					s.pol.Release(ng)
+					e.release(ng)
 				}
 				continue
 			}
-			// The failover target can crash between our reservation and this
-			// commit, and its own eviction scan may already have run and
-			// missed us — so never commit a grant onto a Down server; drop
-			// the session instead. (The state read happens under the same
-			// lock the crashed backend's eviction scan uses, so one of the
-			// two always sees the other.)
-			targetDown := ok && s.c.State(ng.Server) == BackendDown
+			// Never commit onto a target that left service after our
+			// reservation: its own eviction scan may already have run and
+			// missed us. The state read happens under the registry lock that
+			// scan takes, so one of the two always sees the other.
+			moved := ok && s.c.Eligible(ng.Server)
 			old := cur.grant
-			if ok && !targetDown {
+			if moved {
 				cur.grant = ng
 			} else {
-				delete(s.sessions, sess.id)
+				delete(sh.reg, a.id)
 			}
-			s.mu.Unlock()
-			s.pol.Release(old)
-			if ok && !targetDown {
+			sh.regMu.Unlock()
+			e.release(old)
+			if moved {
 				s.met.FailedOver()
 				s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindFailover,
-					Session: sess.id, Video: sess.video, Server: ng.Server,
+					Session: a.id, Video: a.video, Server: ng.Server,
 					Detail: "from server " + fmt.Sprint(b)})
 				failedOver++
 				continue
 			}
-			if targetDown {
-				s.pol.Release(ng)
+			if ok {
+				e.release(ng)
 			}
-			s.activeN.Add(-1)
-			sess.cancel()
+			e.putSession(cur)
 			s.met.Dropped()
 			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-				Session: sess.id, Video: sess.video, Server: b, Detail: cause})
+				Session: a.id, Video: a.video, Server: b, Detail: cause})
+			s.activeN.Add(-1)
 			dropped++
 		}
 	}
+	return failedOver, dropped
 }
 
 // RestoreBackend returns a drained backend to service. A crashed (Down)
@@ -544,9 +474,6 @@ func (s *Server) RestoreBackend(b int) error {
 		return ErrBackendDown
 	}
 	s.c.SetState(b, BackendUp)
-	if d, ok := s.pol.(interface{ RestoreBackend(int) }); ok {
-		d.RestoreBackend(b)
-	}
 	return nil
 }
 
@@ -567,38 +494,31 @@ func (s *Server) RecoverBackend(b int) error {
 	}
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindHealth,
 		Server: b, Detail: target.String()})
-	if d, ok := s.pol.(interface{ RecoverBackend(int) }); ok {
-		d.RecoverBackend(b)
-	}
 	return nil
 }
 
 // Drain gracefully stops the daemon: new sessions are refused with the
 // draining outcome, and Drain waits until every active session ends or ctx
-// expires, whichever is first. On ctx expiry the remaining sessions are
-// force-canceled so their reservations still release before return.
+// expires, whichever is first. On ctx expiry the shard owners are stopped,
+// which force-settles the remaining sessions before return.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.eng != nil {
-		return s.eng.drain(ctx)
+	t := time.NewTicker(2 * time.Millisecond)
+	defer t.Stop()
+	for s.activeN.Load() != 0 {
+		select {
+		case <-ctx.Done():
+			s.baseStop()
+			s.eng.wait()
+			return fmt.Errorf("serve: drain timed out; %w", ctx.Err())
+		case <-t.C:
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.baseStop() // cancel every session context
-		<-done
-		return fmt.Errorf("serve: drain timed out; %w", ctx.Err())
-	}
+	return nil
 }
 
-// Shutdown force-cancels every session, stops any attached health-check and
-// repair loops, and waits for their goroutines.
+// Shutdown force-settles every session, stops any attached health-check,
+// repair, and rebalance loops, and waits for the shard owners to exit.
 func (s *Server) Shutdown() {
 	s.draining.Store(true)
 	if h := s.hc.Load(); h != nil {
@@ -611,8 +531,5 @@ func (s *Server) Shutdown() {
 		(*rp).Stop()
 	}
 	s.baseStop()
-	s.wg.Wait()
-	if s.eng != nil {
-		s.eng.wait()
-	}
+	s.eng.wait()
 }

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
+	"vodcluster/internal/policy"
 )
 
 // testProblem: 3 videos, 2 servers, 10 Mb/s links, 4 Mb/s videos — each
@@ -110,76 +114,180 @@ func TestTryReserveNeverOversubscribes(t *testing.T) {
 	}
 }
 
+// shardCounts are the engine sizes the policy tests drive: the default
+// one-shard engine and a multi-shard one (clamped to the server count).
+var shardCounts = []int{1, 4}
+
 // TestPolicyAdmitUntilSaturated: every policy admits exactly the cluster's
-// stream capacity for v0 (2 per holder), then rejects, and recovers a slot
-// on release.
+// stream capacity for v0 (2 per holder), then rejects, recovers a slot on
+// close, and returns the accounting to zero — at one shard and at four.
 func TestPolicyAdmitUntilSaturated(t *testing.T) {
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
-			c := newTestCluster(t, 0)
-			pol, err := NewPolicy(name, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var grants []Grant
-			for i := 0; i < 4; i++ {
-				g, ok := pol.Admit(0)
-				if !ok {
-					t.Fatalf("admission %d rejected below capacity", i)
+			for _, shards := range shardCounts {
+				srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: name, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
 				}
-				grants = append(grants, g)
-			}
-			if _, ok := pol.Admit(0); ok {
-				t.Fatal("admission beyond cluster capacity")
-			}
-			pol.Release(grants[0])
-			// Static round-robin only tries the rotation's designated
-			// holder, so the freed slot may take a full rotation to reach.
-			var g Grant
-			ok := false
-			for i := 0; i < 2 && !ok; i++ {
-				g, ok = pol.Admit(0)
-			}
-			if !ok {
-				t.Fatal("admission after release rejected for a full rotation")
-			}
-			pol.Release(g)
-			for _, g := range grants[1:] {
-				pol.Release(g)
-			}
-			for s := 0; s < c.Servers(); s++ {
-				if c.Used(s) != 0 {
-					t.Fatalf("server %d used = %d after full release", s, c.Used(s))
+				defer srv.Shutdown()
+				var ids []int64
+				for i := 0; i < 4; i++ {
+					info, outcome, err := srv.Open(0)
+					if err != nil || outcome != OutcomeAccepted {
+						t.Fatalf("shards %d: admission %d: outcome %q, err %v", shards, i, outcome, err)
+					}
+					ids = append(ids, info.ID)
 				}
+				if _, outcome, _ := srv.Open(0); outcome != OutcomeRejected {
+					t.Fatalf("shards %d: admission beyond cluster capacity: %q", shards, outcome)
+				}
+				srv.Close(ids[0])
+				// Static round-robin only tries the rotation's designated
+				// holder, so the freed slot may take a full rotation to reach.
+				accepted := false
+				for i := 0; i < 2 && !accepted; i++ {
+					info, outcome, _ := srv.Open(0)
+					if accepted = outcome == OutcomeAccepted; accepted {
+						ids[0] = info.ID
+					}
+				}
+				if !accepted {
+					t.Fatalf("shards %d: admission after close rejected for a full rotation", shards)
+				}
+				for _, id := range ids {
+					if !srv.Close(id) {
+						t.Fatalf("shards %d: close %d found no session", shards, id)
+					}
+				}
+				assertNoLeaks(t, srv)
 			}
 		})
 	}
-	if _, err := NewPolicy("nope", newTestCluster(t, 0)); err == nil {
+	if _, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "nope"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 // TestStaticRRMatchesSimPolicy: the lock-free static round-robin makes the
-// same sequential accept/reject and placement decisions as the locked
-// adapter over the simulator's actual scheduler.
+// same sequential accept/reject and placement decisions as its
+// snapshot-verified sim: form.
 func TestStaticRRMatchesSimPolicy(t *testing.T) {
-	fast, err := NewPolicy("static-rr", newTestCluster(t, 0))
+	fast, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "static-rr"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewPolicy("sim:static-rr", newTestCluster(t, 0))
+	defer fast.Shutdown()
+	slow, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:static-rr"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer slow.Shutdown()
 	videos := []int{0, 1, 0, 2, 0, 0, 1, 2, 0, 1, 2, 0}
 	for i, v := range videos {
-		fg, fok := fast.Admit(v)
-		sg, sok := slow.Admit(v)
-		if fok != sok {
-			t.Fatalf("request %d (video %d): lock-free ok=%v, sim ok=%v", i, v, fok, sok)
+		fi, fo, _ := fast.Open(v)
+		si, so, _ := slow.Open(v)
+		if fo != so {
+			t.Fatalf("request %d (video %d): lock-free %q, sim %q", i, v, fo, so)
 		}
-		if fok && fg.Server != sg.Server {
-			t.Fatalf("request %d (video %d): lock-free server %d, sim server %d", i, v, fg.Server, sg.Server)
+		if fo == OutcomeAccepted && fi.Server != si.Server {
+			t.Fatalf("request %d (video %d): lock-free server %d, sim server %d", i, v, fi.Server, si.Server)
+		}
+	}
+}
+
+// TestSequentialParityWithClusterState serializes one seeded stream of opens
+// and closes through the daemon and through cluster.State under the
+// simulator's scheduler for the same name, and requires every request to
+// make the same accept, server, source, and redirected decision. The sim:
+// forms on a backbone problem run redirect.Scheduler's rule.
+func TestSequentialParityWithClusterState(t *testing.T) {
+	type scenario struct {
+		name     string
+		p        *core.Problem
+		layout   *core.Layout
+		policies []string
+	}
+	sharded := shardProblemBackbone(t, 12*core.Mbps) // three redirected streams
+	scenarios := []scenario{
+		{"micro", testProblem(t, 0), testLayout(t),
+			[]string{"static-rr", "first-available", "least-loaded", "sim:static-rr", "sim:first-available", "sim:least-loaded"}},
+		{"micro-backbone", testProblem(t, 8*core.Mbps), testLayout(t),
+			[]string{"sim:static-rr", "sim:first-available", "sim:least-loaded"}},
+		{"sharded-backbone", sharded, shardLayout(t),
+			[]string{"sim:static-rr", "sim:first-available", "sim:least-loaded", "least-loaded"}},
+	}
+	for _, sc := range scenarios {
+		for _, name := range sc.policies {
+			for _, shards := range shardCounts {
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", sc.name, name, shards), func(t *testing.T) {
+					base, sim := strings.CutPrefix(name, "sim:")
+					newSched, err := policy.SchedulerFactory(base, sim && sc.p.BackboneBandwidth > 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sched := newSched()
+					st, err := cluster.New(sc.p, sc.layout)
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, err := New(sc.p, sc.layout, Config{Policy: name, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer srv.Shutdown()
+					rng := rand.New(rand.NewPCG(7, uint64(len(name))))
+					type pair struct {
+						live int64
+						sim  cluster.StreamID
+					}
+					var open []pair
+					redirected := 0
+					for i := 0; i < 600; i++ {
+						if len(open) > 0 && rng.IntN(3) == 0 {
+							k := rng.IntN(len(open))
+							if !srv.Close(open[k].live) {
+								t.Fatalf("request %d: close of live session %d failed", i, open[k].live)
+							}
+							if err := st.Release(open[k].sim); err != nil {
+								t.Fatal(err)
+							}
+							open = append(open[:k], open[k+1:]...)
+							continue
+						}
+						v := rng.IntN(sc.p.M())
+						info, outcome, err := srv.Open(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						id, ok := st.Admit(v, sched)
+						if ok != (outcome == OutcomeAccepted) {
+							t.Fatalf("request %d (video %d): live %q, sim accept=%v", i, v, outcome, ok)
+						}
+						if !ok {
+							continue
+						}
+						want, _ := st.Lookup(id)
+						if info.Server != want.Server || info.Source != want.Source || info.Redirected != want.Redirected {
+							t.Fatalf("request %d (video %d): live server %d source %d redirected %v, sim %d %d %v",
+								i, v, info.Server, info.Source, info.Redirected, want.Server, want.Source, want.Redirected)
+						}
+						if info.Redirected {
+							redirected++
+						}
+						open = append(open, pair{info.ID, id})
+					}
+					if sim && sc.p.BackboneBandwidth > 0 && redirected == 0 {
+						t.Error("no request was redirected over the backbone")
+					}
+					for _, o := range open {
+						srv.Close(o.live)
+					}
+					assertNoLeaks(t, srv)
+					if used := srv.Cluster().BackboneUsed(); used != 0 {
+						t.Errorf("backbone leaks %d bit/s", used)
+					}
+				})
+			}
 		}
 	}
 }
@@ -326,30 +434,96 @@ func TestDrainBackendFailover(t *testing.T) {
 	}
 }
 
-// TestDrainBackendSimPolicy: the locked sim-parity policy mirrors drain and
-// failover through the real cluster.State without leaking accounting.
+// TestDrainBackendSimPolicy: the snapshot-verified sim: form fails a
+// drained backend's session over without leaking accounting, at one shard
+// and at four.
 func TestDrainBackendSimPolicy(t *testing.T) {
-	srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:least-loaded"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	if _, outcome, err := srv.Open(0); err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("open: outcome %q, err %v", outcome, err)
-	}
-	failedOver, dropped, err := srv.DrainBackend(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failedOver+dropped != 1 {
-		t.Fatalf("drain settled %d sessions, want 1", failedOver+dropped)
-	}
-	if got := srv.Cluster().Used(0); got != 0 {
-		t.Fatalf("drained server still charged %d", got)
-	}
-	if failedOver == 1 {
+	for _, shards := range shardCounts {
+		srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		if _, outcome, err := srv.Open(0); err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("shards %d: open: outcome %q, err %v", shards, outcome, err)
+		}
+		failedOver, dropped, err := srv.DrainBackend(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failedOver != 1 || dropped != 0 {
+			t.Fatalf("shards %d: drain: failedOver=%d dropped=%d, want 1,0", shards, failedOver, dropped)
+		}
+		if got := srv.Cluster().Used(0); got != 0 {
+			t.Fatalf("shards %d: drained server still charged %d", shards, got)
+		}
 		if got := srv.Cluster().Used(1); got != srv.Cluster().Rate(0) {
-			t.Fatalf("survivor charged %d, want %d", got, srv.Cluster().Rate(0))
+			t.Fatalf("shards %d: survivor charged %d, want %d", shards, got, srv.Cluster().Rate(0))
+		}
+	}
+}
+
+// TestDrainedSourceRefusesRedirect: once a video's first holder drains, a
+// sim:+redirect request that no holder can serve directly is refused, as the
+// simulator refuses a redirect whose source is not up, so no new session
+// pins the drained copy.
+func TestDrainedSourceRefusesRedirect(t *testing.T) {
+	for _, shards := range shardCounts {
+		srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		if _, _, err := srv.DrainBackend(0); err != nil {
+			t.Fatal(err)
+		}
+		// v1 lives only on s0; s1 has room to proxy it.
+		if info, outcome, err := srv.Open(1); err != nil || outcome != OutcomeRejected {
+			t.Fatalf("shards %d: open of v1 after draining s0: outcome %q, session %+v, err %v", shards, outcome, info, err)
+		}
+		if got := srv.PinnedSessions(1, 0); got != 0 {
+			t.Fatalf("shards %d: %d sessions pin the drained copy", shards, got)
+		}
+		// Refused at decision time, not reserved and withdrawn at commit.
+		if got := srv.Metrics().SnapshotConflicts(); got != 0 {
+			t.Fatalf("shards %d: %d snapshot conflicts, want 0", shards, got)
+		}
+		if got := srv.Cluster().BackboneUsed(); got != 0 {
+			t.Fatalf("shards %d: backbone used = %d, want 0", shards, got)
+		}
+	}
+}
+
+// TestRedirectCommitRechecksSource: a redirect decided before its source
+// copy was evicted, or before the source's server drained, is withdrawn at
+// commit instead of registering a session fed by a copy that is gone.
+func TestRedirectCommitRechecksSource(t *testing.T) {
+	for _, shards := range shardCounts {
+		srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		e, c := srv.eng, srv.Cluster()
+		if err := srv.EvictReplica(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		sc := e.getScratch()
+		// The stale decision: proxy v0 on s0 from s0's evicted copy, and v2
+		// on s0 from s1's copy after s1 drained.
+		if info, res := e.commit(sc, false, 0, 1, 0, c.Rate(0)); res != refused {
+			t.Fatalf("shards %d: redirect from an evicted copy: result %d, session %+v", shards, res, info)
+		}
+		if _, _, err := srv.DrainBackend(1); err != nil {
+			t.Fatal(err)
+		}
+		if info, res := e.commit(sc, false, 2, 0, 1, c.Rate(2)); res != refused {
+			t.Fatalf("shards %d: redirect from a drained server: result %d, session %+v", shards, res, info)
+		}
+		e.putScratch(sc)
+		if srv.Active() != 0 || c.BackboneUsed() != 0 || c.Used(0) != 0 || c.Used(1) != 0 {
+			t.Fatalf("shards %d: leaked: active %d, backbone %d, used %d/%d",
+				shards, srv.Active(), c.BackboneUsed(), c.Used(0), c.Used(1))
 		}
 	}
 }
@@ -405,42 +579,48 @@ func TestServerDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestSimPolicyRedirect: with backbone bandwidth, the sim-parity policy
-// serves an exhausted video's requests over the backbone like the
-// simulator's redirect scheduler, and the backbone gauge tracks it.
+// TestSimPolicyRedirect: with backbone bandwidth, the sim: form serves an
+// exhausted video's requests over the backbone like the simulator's
+// redirect scheduler, the backbone gauge tracks it, and a close returns it
+// to zero — at one shard and at four.
 func TestSimPolicyRedirect(t *testing.T) {
-	srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	if name := srv.PolicyName(); !strings.Contains(name, "redirect") {
-		t.Fatalf("policy %q lacks redirect with a backbone", name)
-	}
-	// v1 lives only on s0 (2 slots). The third request must cross the
-	// backbone to s1.
-	for i := 0; i < 2; i++ {
+	for _, shards := range shardCounts {
+		srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		if name := srv.PolicyName(); name != "sim:least-loaded+redirect" {
+			t.Fatalf("policy %q lacks redirect with a backbone", name)
+		}
+		// v1 lives only on s0 (2 slots). The third request must cross the
+		// backbone to s1.
+		for i := 0; i < 2; i++ {
+			info, outcome, err := srv.Open(1)
+			if err != nil || outcome != OutcomeAccepted || info.Redirected {
+				t.Fatalf("shards %d: open %d: outcome %q, redirected=%v, err %v", shards, i, outcome, info.Redirected, err)
+			}
+		}
 		info, outcome, err := srv.Open(1)
-		if err != nil || outcome != OutcomeAccepted || info.Redirected {
-			t.Fatalf("open %d: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
+		if err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("shards %d: redirect open: outcome %q, err %v", shards, outcome, err)
+		}
+		if !info.Redirected || info.Server != 1 || info.Source != 0 {
+			t.Fatalf("shards %d: third v1 session %+v, want redirected from 0 to 1", shards, info)
+		}
+		if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
+			t.Fatalf("shards %d: backbone used = %d, want %d", shards, got, srv.Cluster().Rate(1))
+		}
+		if got := srv.PinnedSessions(1, 0); got != 3 {
+			t.Fatalf("shards %d: %d sessions pin v1's copy on s0, want 3 (one redirected)", shards, got)
+		}
+		if !srv.Close(info.ID) {
+			t.Fatal("close failed")
+		}
+		if got := srv.Cluster().BackboneUsed(); got != 0 {
+			t.Fatalf("shards %d: backbone used = %d after close, want 0", shards, got)
 		}
 	}
-	info, outcome, err := srv.Open(1)
-	if err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("redirect open: outcome %q, err %v", outcome, err)
-	}
-	if !info.Redirected {
-		t.Fatal("third v1 session was not redirected")
-	}
-	if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
-		t.Fatalf("backbone used = %d, want %d", got, srv.Cluster().Rate(1))
-	}
-	if !srv.Close(info.ID) {
-		t.Fatal("close failed")
-	}
-	waitUntil(t, 2*time.Second, "redirected session teardown", func() bool {
-		return srv.Cluster().BackboneUsed() == 0
-	})
 }
 
 // TestConcurrentOpenCloseStress drives many concurrent admissions, closes,
@@ -498,14 +678,9 @@ func TestConcurrentOpenCloseStress(t *testing.T) {
 
 // TestConcurrentAdmissionAgainstSequentialCapacity: under full contention
 // the admitted count can never exceed what the sequential cluster.State
-// would admit, and with releases disabled both sides admit exactly the
+// would admit, and with closes disabled both sides admit exactly the
 // cluster's stream capacity.
 func TestConcurrentAdmissionAgainstSequentialCapacity(t *testing.T) {
-	c := newTestCluster(t, 0)
-	pol, err := NewPolicy("least-loaded", c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := cluster.New(testProblem(t, 0), testLayout(t))
 	if err != nil {
 		t.Fatal(err)
@@ -517,25 +692,27 @@ func TestConcurrentAdmissionAgainstSequentialCapacity(t *testing.T) {
 		}
 		seq++
 	}
-	var wg sync.WaitGroup
-	admitted := make(chan Grant, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if g, ok := pol.Admit(0); ok {
-				admitted <- g
-			}
-		}()
-	}
-	wg.Wait()
-	close(admitted)
-	conc := 0
-	for range admitted {
-		conc++
-	}
-	if conc != seq {
-		t.Fatalf("concurrent policy admitted %d, sequential state admits %d", conc, seq)
+	for _, shards := range shardCounts {
+		srv, err := New(testProblem(t, 0), testLayout(t), Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown()
+		var wg sync.WaitGroup
+		var conc atomic.Int64
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, outcome, _ := srv.Open(0); outcome == OutcomeAccepted {
+					conc.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if int(conc.Load()) != seq {
+			t.Fatalf("shards %d: concurrent daemon admitted %d, sequential state admits %d", shards, conc.Load(), seq)
+		}
 	}
 }
 
@@ -568,10 +745,18 @@ func TestWallDurationCompression(t *testing.T) {
 	}
 }
 
+// TestPolicyNamesResolve: every advertised name builds a Server at one
+// shard and at four, with and without a backbone.
 func TestPolicyNamesResolve(t *testing.T) {
 	for _, name := range PolicyNames() {
-		if _, err := NewPolicy(name, newTestCluster(t, 0)); err != nil {
-			t.Fatalf("advertised policy %q does not resolve: %v", name, err)
+		for _, backbone := range []float64{0, 100 * core.Mbps} {
+			for _, shards := range shardCounts {
+				srv, err := New(shardProblemBackbone(t, backbone), shardLayout(t), Config{Policy: name, Shards: shards})
+				if err != nil {
+					t.Fatalf("advertised policy %q (backbone %g, shards %d) does not resolve: %v", name, backbone, shards, err)
+				}
+				srv.Shutdown()
+			}
 		}
 	}
 }

@@ -1,35 +1,31 @@
 package serve
 
-// Sharded dispatch (DESIGN.md §15): Config.Shards > 1 partitions the
-// cluster's servers into contiguous groups, each owned by one dispatcher
-// goroutine. An owner drains its mailbox in batches — every wakeup takes the
-// whole accumulated batch, so under load the channel/wakeup cost amortizes
-// over many admissions — and is the only goroutine that commits admissions
-// onto its servers, so same-server admissions never contend on the CAS loop
-// and directory changes (rebalance/repair landings, evictions) serialize
-// with the admission stream by construction. Session lifetime is tracked
-// with a per-shard expiry heap and one timer instead of a goroutine and
-// context per session, and session/op objects are pooled, so an admission
+// The dispatch engine (DESIGN.md §15): Config.Shards partitions the
+// cluster's servers into contiguous groups — one group when Shards ≤ 1 —
+// each owned by one dispatcher goroutine. An owner drains its mailbox in
+// batches — every wakeup takes the whole accumulated batch, so under load the
+// channel/wakeup cost amortizes over many admissions — and is the only
+// goroutine that commits admissions onto its servers, so same-server
+// admissions never contend on the CAS loop and directory changes
+// (rebalance/repair landings, evictions) serialize with the admission stream
+// by construction. Session lifetime is tracked with a per-shard expiry heap
+// and one timer, and session/op objects are pooled, so an admission
 // allocates nothing in steady state.
 //
-// The sim:* policies, which the single-shard engine serves through a global
-// lock (SimPolicy), run sharded on a snapshot-and-verify protocol instead:
-// the dispatcher reads each shard's version counter, ranks candidates
-// against the lock-free gauges, and submits the decision with the expected
-// version; the owner rejects the commit when the shard's state moved in
-// between (a conflict), and the dispatcher re-decides against a fresh
-// snapshot. After maxSnapshotRetries conflicts the request degrades to the
-// unverified path — owners still re-check capacity, so the protocol bounds
-// decision staleness without risking livelock.
-//
-// Shards ≤ 1 never constructs any of this: the daemon runs the original
-// code path bit-identically, which is what the live-vs-sim smoke
-// cross-checks validate.
+// The sim:* policies run on a snapshot-and-verify protocol: the dispatcher
+// reads each shard's version counter, ranks candidates against the
+// lock-free gauges, and submits the decision with the expected version; the
+// owner rejects the commit when the shard's state moved in between (a
+// conflict), and the dispatcher re-decides against a fresh snapshot. After
+// maxSnapshotRetries conflicts the request degrades to the unverified path —
+// owners still re-check capacity, so the protocol bounds decision staleness
+// without risking livelock. On a problem with backbone bandwidth they add
+// redirect.Scheduler's fallback (redirectTarget).
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,18 +40,24 @@ import (
 // path. Conflicts are counted in vod_snapshot_conflicts_total either way.
 const maxSnapshotRetries = 8
 
+// expiryFloor is the expiry-heap length below which the owner never
+// compacts; above it, entries of settled sessions are dropped once the heap
+// outgrows four times the shard's live registry.
+const expiryFloor = 4096
+
 // errShardStopped reports an operation submitted to a dispatcher that has
 // already shut down; callers surface it as a draining outcome.
 var errShardStopped = errors.New("serve: dispatch shard stopped")
 
-// engine is the sharded dispatch runtime: the shard set, the server→shard
-// map, the candidate ranker of the configured policy, and the object pools
-// the hot path draws from.
+// engine is the dispatch runtime: the shard set, the server→shard map, the
+// candidate ranker of the configured policy, and the object pools the hot
+// path draws from.
 type engine struct {
-	s      *Server
-	rk     ranker
-	name   string // policy name reported by /metrics and /layout
-	verify bool   // snapshot-and-verify commits (sim:* policies)
+	s        *Server
+	rk       ranker
+	name     string // policy name reported by /metrics and /layout
+	verify   bool   // snapshot-and-verify commits (sim:* policies)
+	redirect bool   // backbone redirection fallback (sim:* with a backbone)
 
 	shards  []*shard
 	shardOf []int // server index -> owning shard index
@@ -84,9 +86,10 @@ type shard struct {
 	notify chan struct{}
 
 	// registry of birth-shard sessions. The owner is the main writer, but
-	// eviction scans and Close remove entries from other goroutines, so a
+	// eviction scans and Close touch entries from other goroutines, so a
 	// shard-local mutex guards it; presence in the map is the settlement
-	// token — whoever removes an entry owns ending that session.
+	// token — whoever removes an entry owns ending that session — and an
+	// eviction scan swaps a failed-over grant in place under the same lock.
 	regMu sync.Mutex
 	reg   map[int64]*session
 
@@ -99,24 +102,21 @@ type shard struct {
 type opKind uint8
 
 const (
-	opAdmit    opKind = iota // reserve + register one session on an owned server
-	opSchedule               // async: re-arm an expiry entry (failover reinstate)
-	opLand                   // rebalance migration: publish a replica
-	opEvict                  // rebalance eviction: remove a replica
-	opRepair                 // repair landing: publish a replica, no migration count
+	opAdmit  opKind = iota // reserve + register one session on an owned server
+	opLand                 // rebalance migration: publish a replica
+	opEvict                // rebalance eviction: remove a replica
+	opRepair               // repair landing: publish a replica, no migration count
 )
 
-// shardOp is one pooled mailbox message; sync ops carry a 1-buffered done
-// channel the owner signals exactly once.
+// shardOp is one pooled mailbox message; the owner signals its 1-buffered
+// done channel exactly once.
 type shardOp struct {
-	kind     opKind
-	async    bool
-	video    int
-	server   int
-	rate     int64
-	verify   int64 // expected shard version; -1 disables the snapshot check
-	id       int64
-	deadline time.Time
+	kind   opKind
+	video  int
+	server int
+	source int // replica feeding an admission; != server for a redirect
+	rate   int64
+	verify int64 // expected shard version; -1 disables the snapshot check
 
 	info     SessionInfo
 	ok       bool
@@ -135,8 +135,8 @@ type rankScratch struct {
 }
 
 // ranker orders the admission candidates for one request — the lock-free
-// decision half of a policy, decoupled from the commit so the sharded
-// dispatcher can verify and reserve at the owning shard.
+// decision half of a policy, decoupled from the commit so the dispatcher can
+// verify and reserve at the owning shard.
 type ranker interface {
 	// rank writes video v's candidate servers into sc.cands, most preferred
 	// first. Owners re-check eligibility and capacity at commit time, so a
@@ -144,8 +144,9 @@ type ranker interface {
 	rank(c *Cluster, v int, rate int64, sc *rankScratch) []int
 }
 
-// llRanker mirrors the least-loaded policy: eligible holders with room for
-// the stream, most free outgoing bandwidth first (ties to the lower index).
+// llRanker is least-loaded: eligible holders with room for the stream, most
+// free outgoing bandwidth first (ties to the lower index). Failover walks
+// the same ordering.
 type llRanker struct{}
 
 func (llRanker) rank(c *Cluster, v int, rate int64, sc *rankScratch) []int {
@@ -174,9 +175,9 @@ func (llRanker) rank(c *Cluster, v int, rate int64, sc *rankScratch) []int {
 	return out
 }
 
-// rotRanker mirrors static-rr (§3.2) and first-available: a per-video atomic
-// cursor advances exactly once per request; probe widens the candidate list
-// from the designated holder to the whole rotation.
+// rotRanker is static-rr (§3.2) and first-available: a per-video atomic
+// cursor advances exactly once per request, accepted or not; probe widens
+// the candidate list from the designated holder to the whole rotation.
 type rotRanker struct {
 	cursor []atomic.Int64
 	probe  bool
@@ -201,20 +202,64 @@ func (r *rotRanker) rank(c *Cluster, v int, rate int64, sc *rankScratch) []int {
 	return out
 }
 
-// newEngine builds the sharded dispatch runtime and starts one owner
-// goroutine per shard. The policy name resolves to a ranker: the three
-// lock-free policies run unverified, their sim: forms run with
-// snapshot-and-verify commits. Policies without a ranker (and backbone
-// redirection, which no ranker models yet) require the single-shard engine.
+// randRanker is sim:random: one uniformly random eligible holder with room
+// for the stream.
+type randRanker struct{}
+
+func (randRanker) rank(c *Cluster, v int, rate int64, sc *rankScratch) []int {
+	out := sc.cands[:0]
+	for _, s := range c.Holders(v) {
+		if !c.Draining(s) && c.Free(s) >= rate {
+			out = append(out, s)
+		}
+	}
+	sc.cands = out
+	if len(out) > 1 {
+		out[0] = out[rand.IntN(len(out))]
+		out = out[:1]
+	}
+	return out
+}
+
+// redirectTarget is redirect.Scheduler's fallback for a request whose ranked
+// holders all refused: a holder with room serves it directly; otherwise the
+// eligible server with the most free outgoing bandwidth (ties to the highest
+// index) proxies the stream over the backbone from the first holder. It
+// returns server -1 when the backbone lacks room, the first holder is
+// draining or down (the simulator refuses a redirect whose source is not
+// up, and a drain must not see new sessions pin its copy), or no server can
+// proxy.
+func redirectTarget(c *Cluster, v int, rate int64) (server, source int) {
+	hs := c.Holders(v)
+	if len(hs) == 0 || c.backboneCap-c.BackboneUsed() < rate {
+		return -1, -1
+	}
+	for _, s := range hs {
+		if !c.Draining(s) && c.Free(s) >= rate {
+			return s, s
+		}
+	}
+	if c.Draining(hs[0]) {
+		return -1, -1
+	}
+	proxy, best := -1, rate
+	for s := 0; s < c.Servers(); s++ {
+		if f := c.Free(s); !c.Draining(s) && f >= best {
+			proxy, best = s, f
+		}
+	}
+	return proxy, hs[0]
+}
+
+// newEngine builds the dispatch runtime and starts one owner goroutine per
+// shard. The policy name resolves to a ranker: the three lock-free policies
+// run unverified, their sim: forms (and sim:random) run with
+// snapshot-and-verify commits, plus the redirect fallback when the problem
+// defines backbone bandwidth.
 func newEngine(s *Server, nshard int, polName string) (*engine, error) {
 	c := s.c
-	if c.Problem().BackboneBandwidth > 0 {
-		return nil, fmt.Errorf("serve: sharded dispatch does not support backbone redirection yet; run with 1 shard")
-	}
 	base, sim := strings.CutPrefix(polName, "sim:")
-	if !sim {
-		base = polName
-	} else {
+	if sim {
 		e, err := policy.Lookup(base)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
@@ -229,21 +274,28 @@ func newEngine(s *Server, nshard int, polName string) (*engine, error) {
 		rk = &rotRanker{cursor: make([]atomic.Int64, c.Videos())}
 	case "first-available":
 		rk = &rotRanker{cursor: make([]atomic.Int64, c.Videos()), probe: true}
+	case "random":
+		if !sim {
+			return nil, policy.UnknownServeError(polName)
+		}
+		rk = randRanker{}
 	default:
 		if sim {
-			return nil, fmt.Errorf("serve: policy %q has no sharded dispatch ranker; run with 1 shard", polName)
+			return nil, fmt.Errorf("serve: policy %q has no dispatch ranker", polName)
 		}
 		return nil, policy.UnknownServeError(polName)
 	}
 	name := base
+	redirect := sim && c.Problem().BackboneBandwidth > 0
 	if sim {
 		name = "sim:" + base
 	}
-	n := c.Servers()
-	if nshard > n {
-		nshard = n
+	if redirect {
+		name += "+redirect"
 	}
-	eng := &engine{s: s, rk: rk, name: name, verify: sim, shardOf: make([]int, n)}
+	n := c.Servers()
+	nshard = max(1, min(nshard, n))
+	eng := &engine{s: s, rk: rk, name: name, verify: sim, redirect: redirect, shardOf: make([]int, n)}
 	for i := 0; i < nshard; i++ {
 		sh := &shard{
 			eng: eng, idx: i,
@@ -264,14 +316,8 @@ func newEngine(s *Server, nshard int, polName string) (*engine, error) {
 	return eng, nil
 }
 
-// Shards reports how many admission shards the daemon dispatches through
-// (1 for the legacy single-shard engine).
-func (s *Server) Shards() int {
-	if s.eng == nil {
-		return 1
-	}
-	return len(s.eng.shards)
-}
+// Shards reports how many admission shards the daemon dispatches through.
+func (s *Server) Shards() int { return len(s.eng.shards) }
 
 // --- pools ---
 
@@ -307,6 +353,9 @@ func (e *engine) getScratch() *rankScratch {
 
 func (e *engine) putScratch(sc *rankScratch) { e.scratchPool.Put(sc) }
 
+// birth returns the shard whose registry holds session id.
+func (e *engine) birth(id int64) *shard { return e.shards[int(id%int64(len(e.shards)))] }
+
 // --- accounting (version-stamped) ---
 
 // reserve charges one stream onto server b and stamps the owning shard's
@@ -332,18 +381,13 @@ func (e *engine) release(g Grant) {
 
 // --- shard mailbox ---
 
-// submit enqueues op; a dead shard fails it immediately so callers never
-// block on a stopped owner.
-func (sh *shard) submit(op *shardOp) {
+// call enqueues op and waits for the owner to signal completion; a dead
+// shard fails it immediately so callers never block on a stopped owner.
+func (sh *shard) call(op *shardOp) {
 	sh.mbMu.Lock()
 	if sh.dead {
 		sh.mbMu.Unlock()
-		if op.async {
-			sh.eng.putOp(op)
-			return
-		}
 		op.err = errShardStopped
-		op.done <- struct{}{}
 		return
 	}
 	sh.mb = append(sh.mb, op)
@@ -352,22 +396,7 @@ func (sh *shard) submit(op *shardOp) {
 	case sh.notify <- struct{}{}:
 	default:
 	}
-}
-
-// call submits op and waits for the owner (or the dead-shard fast path) to
-// signal completion.
-func (sh *shard) call(op *shardOp) {
-	sh.submit(op)
 	<-op.done
-}
-
-// scheduleExpiry asks the owner to (re-)arm an expiry entry — the failover
-// reinstate path; duplicate entries for one id are harmless because firing
-// checks the registry.
-func (sh *shard) scheduleExpiry(id int64, at time.Time) {
-	op := sh.eng.getOp()
-	op.kind, op.async, op.id, op.deadline = opSchedule, true, id, at
-	sh.submit(op)
 }
 
 // --- owner loop ---
@@ -421,10 +450,6 @@ func (sh *shard) exec(op *shardOp) {
 	switch op.kind {
 	case opAdmit:
 		sh.execAdmit(op)
-	case opSchedule:
-		sh.exp.push(expiry{at: op.deadline, id: op.id})
-		sh.eng.putOp(op)
-		return
 	case opLand:
 		op.err = sh.execLand(op)
 	case opEvict:
@@ -436,34 +461,73 @@ func (sh *shard) exec(op *shardOp) {
 }
 
 // execAdmit commits one admission onto an owned server: verify the snapshot
-// version (when asked), reserve, register a pooled session, arm its expiry.
+// version (when asked), reserve the outgoing link (and the backbone for a
+// redirect, rolling the link back when the backbone is full), register a
+// pooled session, arm its expiry. A redirect's source replica lives on
+// another shard, so no version check covers it: after registering, the
+// owner re-checks that the copy still exists and its server is in service,
+// and withdraws the session when not. An eviction re-checks pinned sessions
+// after removing a copy and a drain scans the registries after leaving
+// service, so one side always sees the other.
 func (sh *shard) execAdmit(op *shardOp) {
 	e := sh.eng
 	if op.verify >= 0 && sh.version.Load() != op.verify {
 		op.conflict = true
 		return
 	}
-	if !e.reserve(op.server, op.rate) {
+	g := Grant{Video: op.video, Server: op.server, Source: op.source, Rate: op.rate,
+		Redirected: op.source != op.server}
+	if !e.reserve(g.Server, g.Rate) {
 		return
 	}
 	s := e.s
-	sess := e.getSession()
+	if g.Redirected && !s.c.TryReserveBackbone(g.Rate) {
+		e.release(Grant{Server: g.Server, Rate: g.Rate})
+		return
+	}
+	// Once registered the session belongs to whoever settles it, so
+	// nothing below reads it back.
 	sh.nextID++
-	sess.id = sh.nextID*int64(len(e.shards)) + int64(sh.idx)
-	sess.video = op.video
-	sess.grant = Grant{Video: op.video, Server: op.server, Source: op.server, Rate: op.rate}
+	id := sh.nextID*int64(len(e.shards)) + int64(sh.idx)
+	sess := e.getSession()
+	sess.id, sess.video, sess.grant = id, op.video, g
 	wall := s.wallDuration(op.video)
-	sess.deadline = time.Now().Add(wall)
-	sh.regMu.Lock()
-	sh.reg[sess.id] = sess
-	sh.regMu.Unlock()
 	s.activeN.Add(1)
-	sh.exp.push(expiry{at: sess.deadline, id: sess.id})
+	sh.regMu.Lock()
+	sh.reg[id] = sess
+	sh.regMu.Unlock()
+	if g.Redirected && (!holds(s.c, op.video, g.Source) || s.c.Draining(g.Source)) && sh.withdraw(id, g) {
+		op.conflict = op.verify >= 0 // re-decide against the new holder list
+		return
+	}
+	sh.exp.push(expiry{at: time.Now().Add(wall), id: id})
 	op.ok = true
 	op.info = SessionInfo{
-		ID: sess.id, Video: op.video, Server: op.server, Source: op.server,
-		RateBps: op.rate, ExpiresInS: wall.Seconds(),
+		ID: id, Video: op.video, Server: g.Server, Source: g.Source,
+		RateBps: g.Rate, Redirected: g.Redirected, ExpiresInS: wall.Seconds(),
 	}
+}
+
+// withdraw rolls back a just-registered session whose grant is still g. It
+// reports false when an eviction scan already failed the session over or
+// dropped it; the scan then owns its settlement.
+func (sh *shard) withdraw(id int64, g Grant) bool {
+	sh.regMu.Lock()
+	sess, ok := sh.reg[id]
+	if ok && sess.grant == g {
+		delete(sh.reg, id)
+	} else {
+		ok = false
+	}
+	sh.regMu.Unlock()
+	if !ok {
+		return false
+	}
+	e := sh.eng
+	e.s.activeN.Add(-1)
+	e.release(g)
+	e.putSession(sess)
+	return true
 }
 
 // execLand is LandReplica's owner half: publish the migrated replica so the
@@ -484,18 +548,19 @@ func (sh *shard) execLand(op *shardOp) error {
 	return nil
 }
 
-// execEvict is EvictReplica's owner half: same safety ladder as the
-// single-shard path (exists → not last live copy → not pinned → remove →
-// re-check). Owner serialization covers same-shard admissions; the
-// post-removal re-check covers direct failover grants, which land without
-// an op.
+// execEvict is EvictReplica's owner half: exists → not last live copy → not
+// pinned → remove → re-check. Owner serialization covers same-shard
+// admissions; the post-removal re-check covers admissions and failover
+// grants committed by other goroutines from the pre-removal holder list —
+// those put the copy back and the caller retries after the sessions drain.
 func (sh *shard) execEvict(op *shardOp) error {
-	e := sh.eng
-	s := e.s
+	s := sh.eng.s
 	v, b := op.video, op.server
 	if !holds(s.c, v, b) {
 		return ErrNoReplica
 	}
+	// At least one other holder must remain readable or the video would
+	// become unservable (constraint Eq. 7 on the live directory).
 	live := 0
 	for _, h := range s.c.Holders(v) {
 		if h != b && s.c.State(h) != BackendDown {
@@ -505,14 +570,14 @@ func (sh *shard) execEvict(op *shardOp) error {
 	if live == 0 {
 		return ErrLastReplica
 	}
-	if e.pinnedSessions(v, b) > 0 {
+	if s.PinnedSessions(v, b) > 0 {
 		return ErrReplicaPinned
 	}
 	if !s.c.RemoveHolder(v, b) {
-		return ErrLastReplica
+		return ErrLastReplica // lost a race that shrank the list to one
 	}
 	sh.version.Add(1)
-	if e.pinnedSessions(v, b) > 0 {
+	if s.PinnedSessions(v, b) > 0 {
 		s.c.AddHolder(v, b)
 		sh.version.Add(1)
 		return ErrReplicaPinned
@@ -533,14 +598,30 @@ func (sh *shard) execRepair(op *shardOp) bool {
 	return true
 }
 
-// fireExpired settles every session whose deadline passed. Stale entries —
-// closed, evicted, or re-armed sessions — find no registry entry and are
-// skipped.
+// fireExpired settles every session whose deadline passed. Entries of
+// sessions settled early (closed or dropped) find no registry entry and are
+// skipped; once they outnumber the live registry the heap is compacted, so
+// it stays proportional to the sessions the shard actually holds.
 func (sh *shard) fireExpired() {
 	now := time.Now()
 	for len(sh.exp) > 0 && !sh.exp[0].at.After(now) {
 		sh.settle(sh.exp.popMin().id, true)
 	}
+	if len(sh.exp) <= expiryFloor {
+		return
+	}
+	sh.regMu.Lock()
+	if len(sh.exp) > 4*len(sh.reg)+expiryFloor {
+		live := sh.exp[:0]
+		for _, x := range sh.exp {
+			if _, ok := sh.reg[x.id]; ok {
+				live = append(live, x)
+			}
+		}
+		sh.exp = live
+		sh.exp.heapify()
+	}
+	sh.regMu.Unlock()
 }
 
 // settle ends session id exactly once: registry removal is the settlement
@@ -558,7 +639,6 @@ func (sh *shard) settle(id int64, natural bool) bool {
 	}
 	e := sh.eng
 	s := e.s
-	s.activeN.Add(-1)
 	g := sess.grant
 	video := sess.video
 	e.release(g)
@@ -572,12 +652,14 @@ func (sh *shard) settle(id int64, natural bool) bool {
 		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
 			Session: id, Video: video, Server: g.Server, Detail: "canceled"})
 	}
+	// Last, so a reader that sees the session gone (Drain, a test) also
+	// sees its bandwidth returned and its end counted.
+	s.activeN.Add(-1)
 	return true
 }
 
-// shutdown fails queued ops, settles every registered session as canceled
-// (the daemon-shutdown semantics of the legacy engine's context cancel), and
-// signals done.
+// shutdown fails queued ops, settles every registered session as canceled,
+// and signals done.
 func (sh *shard) shutdown() {
 	sh.mbMu.Lock()
 	sh.dead = true
@@ -585,10 +667,6 @@ func (sh *shard) shutdown() {
 	sh.mb = nil
 	sh.mbMu.Unlock()
 	for _, op := range batch {
-		if op.async {
-			sh.eng.putOp(op)
-			continue
-		}
 		op.err = errShardStopped
 		op.done <- struct{}{}
 	}
@@ -606,200 +684,49 @@ func (sh *shard) shutdown() {
 
 // --- engine-level request paths ---
 
-// attempt is the sharded counterpart of Server.attempt: rank candidates
-// lock-free, submit the commit to the owning shard, retry on snapshot
-// conflicts, settle exactly one decision.
-func (e *engine) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
-	s := e.s
-	start := time.Now()
-	if s.admitDelay > 0 {
-		time.Sleep(s.admitDelay)
+// commitResult is the owner's verdict on one submitted admission.
+type commitResult uint8
+
+const (
+	refused    commitResult = iota // no capacity on the candidate
+	accepted                       // reserved and registered
+	conflicted                     // the snapshot version moved: re-decide
+	stopped                        // the owner shut down: the daemon is draining
+)
+
+// commit submits one admission of v onto server b, fed from replica src, to
+// b's owner and waits for its verdict.
+func (e *engine) commit(sc *rankScratch, verify bool, v, b, src int, rate int64) (SessionInfo, commitResult) {
+	sh := e.shards[e.shardOf[b]]
+	op := e.getOp()
+	op.kind, op.video, op.server, op.source, op.rate = opAdmit, v, b, src, rate
+	op.verify = -1
+	if verify {
+		op.verify = sc.vers[sh.idx]
 	}
-	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
-	if s.draining.Load() {
-		s.met.Decision(false, false, true, time.Since(start))
-		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
-			DurNS: s.tracer.NowNS() - arriveNS})
-		return SessionInfo{}, OutcomeDraining
+	sh.call(op)
+	info, res := op.info, refused
+	switch {
+	case op.err != nil:
+		res = stopped
+	case op.conflict:
+		res = conflicted
+	case op.ok:
+		res = accepted
 	}
-	rate := s.c.Rate(v)
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	for try := 0; ; try++ {
-		verify := e.verify && try < maxSnapshotRetries
-		if verify {
-			vers := sc.vers[:0]
-			for _, sh := range e.shards {
-				vers = append(vers, sh.version.Load())
-			}
-			sc.vers = vers
-		}
-		cands := e.rk.rank(s.c, v, rate, sc)
-		conflict := false
-		for _, b := range cands {
-			sh := e.shards[e.shardOf[b]]
-			op := e.getOp()
-			op.kind, op.video, op.server, op.rate = opAdmit, v, b, rate
-			op.verify = -1
-			if verify {
-				op.verify = sc.vers[sh.idx]
-			}
-			sh.call(op)
-			ok, conf, err, info := op.ok, op.conflict, op.err, op.info
-			e.putOp(op)
-			if err != nil { // shard stopped: the daemon is shutting down
-				s.met.Decision(false, false, true, time.Since(start))
-				s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
-					DurNS: s.tracer.NowNS() - arriveNS})
-				return SessionInfo{}, OutcomeDraining
-			}
-			if conf {
-				conflict = true
-				break
-			}
-			if ok {
-				s.met.Decision(true, false, false, time.Since(start))
-				s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
-					Session: info.ID, Video: v, Server: info.Server,
-					DurNS: s.tracer.NowNS() - arriveNS})
-				return info, OutcomeAccepted
-			}
-		}
-		if conflict {
-			s.met.SnapshotConflict()
-			continue // re-decide against a fresh snapshot
-		}
-		if settleReject {
-			s.met.Decision(false, false, false, time.Since(start))
-			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
-				DurNS: s.tracer.NowNS() - arriveNS})
-		}
-		return SessionInfo{}, OutcomeRejected
-	}
+	e.putOp(op)
+	return info, res
 }
 
-// close ends session id early; ids route to their birth shard's registry.
-func (e *engine) close(id int64) bool {
-	if id < 0 {
-		return false
-	}
-	return e.shards[int(id%int64(len(e.shards)))].settle(id, false)
-}
-
-// pinnedSessions counts sessions of v served by or sourced from b across
-// every shard registry.
-func (e *engine) pinnedSessions(v, b int) int {
-	n := 0
-	for _, sh := range e.shards {
-		sh.regMu.Lock()
-		for _, sess := range sh.reg {
-			if sess.video == v && (sess.grant.Server == b || sess.grant.Source == b) {
-				n++
-			}
-		}
-		sh.regMu.Unlock()
-	}
-	return n
-}
-
-// evictSessions is the sharded eviction scan: collect (and thereby own)
-// every session referencing b, fail each over with a direct reservation,
-// reinstate survivors into their birth registry, and repeat until no session
-// references b — catching failovers that land onto b concurrently.
-func (e *engine) evictSessions(b int, cause string) (failedOver, dropped int) {
-	s := e.s
-	for {
-		var affected []*session
-		for _, sh := range e.shards {
-			sh.regMu.Lock()
-			for id, sess := range sh.reg {
-				if sess.grant.Server == b || sess.grant.Source == b {
-					delete(sh.reg, id)
-					affected = append(affected, sess)
-				}
-			}
-			sh.regMu.Unlock()
-		}
-		if len(affected) == 0 {
-			return failedOver, dropped
-		}
-		for _, sess := range affected {
-			old := sess.grant
-			ng, ok := failoverMostFree(s.c, sess.video, b)
-			if ok {
-				e.shards[e.shardOf[ng.Server]].version.Add(1)
-				// Never commit onto a server that went Down meanwhile; its
-				// own eviction scan may already have run and missed us.
-				if s.c.State(ng.Server) == BackendDown {
-					e.release(ng)
-					ok = false
-				}
-			}
-			if ok && e.reinstate(sess, ng) {
-				e.release(old)
-				s.met.FailedOver()
-				s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindFailover,
-					Session: sess.id, Video: sess.video, Server: ng.Server,
-					Detail: "from server " + fmt.Sprint(b)})
-				failedOver++
-				continue
-			}
-			e.release(old)
-			s.activeN.Add(-1)
-			s.met.Dropped()
-			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-				Session: sess.id, Video: sess.video, Server: b, Detail: cause})
-			dropped++
-			e.putSession(sess)
-		}
-	}
-}
-
-// reinstate publishes a failed-over session back into its birth registry
-// under the new grant and re-arms its expiry. When the failover target was
-// itself claimed (drained or crashed) while the grant landed, the session is
-// taken back out: if we win that removal the new reservation is returned and
-// the caller drops the session; if the target's own eviction scan won, that
-// scan settles it and the failover stands.
-func (e *engine) reinstate(sess *session, ng Grant) bool {
-	sess.grant = ng
-	sh := e.shards[int(sess.id%int64(len(e.shards)))]
-	sh.regMu.Lock()
-	sh.reg[sess.id] = sess
-	sh.regMu.Unlock()
-	if e.s.c.Draining(ng.Server) {
-		sh.regMu.Lock()
-		_, still := sh.reg[sess.id]
-		if still {
-			delete(sh.reg, sess.id)
-		}
-		sh.regMu.Unlock()
-		if still {
-			e.release(ng)
-			return false
-		}
-	}
-	sh.scheduleExpiry(sess.id, sess.deadline)
-	return true
-}
-
-// drain waits for the active sessions to expire naturally; on ctx expiry the
-// owners are stopped, which force-settles the remainder.
-func (e *engine) drain(ctx context.Context) error {
-	t := time.NewTicker(2 * time.Millisecond)
-	defer t.Stop()
-	for {
-		if e.s.activeN.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			e.s.baseStop()
-			e.wait()
-			return fmt.Errorf("serve: drain timed out; %w", ctx.Err())
-		case <-t.C:
-		}
-	}
+// directory routes a replica landing, eviction, or repair landing through
+// b's owner so it serializes with that shard's admission stream.
+func (e *engine) directory(kind opKind, v, b int) (bool, error) {
+	op := e.getOp()
+	op.kind, op.video, op.server = kind, v, b
+	e.shards[e.shardOf[b]].call(op)
+	ok, err := op.ok, op.err
+	e.putOp(op)
+	return ok, err
 }
 
 // wait blocks until every shard owner has exited (after baseStop).
@@ -809,42 +736,8 @@ func (e *engine) wait() {
 	}
 }
 
-// landReplica routes a rebalance migration through b's owner.
-func (e *engine) landReplica(v, b int) error {
-	sh := e.shards[e.shardOf[b]]
-	op := e.getOp()
-	op.kind, op.video, op.server = opLand, v, b
-	sh.call(op)
-	err := op.err
-	e.putOp(op)
-	return err
-}
-
-// evictReplica routes a rebalance eviction through b's owner.
-func (e *engine) evictReplica(v, b int) error {
-	sh := e.shards[e.shardOf[b]]
-	op := e.getOp()
-	op.kind, op.video, op.server = opEvict, v, b
-	sh.call(op)
-	err := op.err
-	e.putOp(op)
-	return err
-}
-
-// landRepair routes a repair-copy landing through dst's owner; it reports
-// whether the copy became a new replica.
-func (e *engine) landRepair(v, dst int) bool {
-	sh := e.shards[e.shardOf[dst]]
-	op := e.getOp()
-	op.kind, op.video, op.server = opRepair, v, dst
-	sh.call(op)
-	ok := op.ok && op.err == nil
-	e.putOp(op)
-	return ok
-}
-
 // expiry is one deadline entry; entries are lazy — settlement consults the
-// registry, so duplicates and stale entries are no-ops.
+// registry, so stale entries are no-ops.
 type expiry struct {
 	at time.Time
 	id int64
@@ -872,29 +765,41 @@ func (h *expiryHeap) push(e expiry) {
 	}
 }
 
-// popMin removes and returns the earliest entry (sift down). The caller
-// checks len > 0 first.
+// popMin removes and returns the earliest entry. The caller checks len > 0
+// first.
 func (h *expiryHeap) popMin() expiry {
 	hs := *h
 	top := hs[0]
 	n := len(hs) - 1
 	hs[0] = hs[n]
-	hs = hs[:n]
-	*h = hs
-	i := 0
+	*h = hs[:n]
+	h.down(0)
+	return top
+}
+
+// heapify restores the heap order over arbitrary contents in place.
+func (h expiryHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts entry i toward the leaves until both children are later.
+func (h expiryHeap) down(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && hs[l].at.Before(hs[min].at) {
+		if l < n && h[l].at.Before(h[min].at) {
 			min = l
 		}
-		if r < n && hs[r].at.Before(hs[min].at) {
+		if r < n && h[r].at.Before(h[min].at) {
 			min = r
 		}
 		if min == i {
-			return top
+			return
 		}
-		hs[i], hs[min] = hs[min], hs[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
 }

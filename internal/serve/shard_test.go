@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,10 @@ import (
 // 5 concurrent streams per backend — big enough that Config{Shards: 4}
 // yields four two-server shards with every video's replica pair split
 // across two different shards.
-func shardProblem(t testing.TB) *core.Problem {
+func shardProblem(t testing.TB) *core.Problem { return shardProblemBackbone(t, 0) }
+
+// shardProblemBackbone is shardProblem with backbone bandwidth bps.
+func shardProblemBackbone(t testing.TB, bps float64) *core.Problem {
 	t.Helper()
 	cat := make(core.Catalog, 8)
 	for i := range cat {
@@ -28,6 +30,7 @@ func shardProblem(t testing.TB) *core.Problem {
 		BandwidthPerServer: 20 * core.Mbps,
 		ArrivalRate:        1.0 / core.Minute,
 		PeakPeriod:         90 * core.Minute,
+		BackboneBandwidth:  bps,
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -86,17 +89,18 @@ func TestShardedConfigResolution(t *testing.T) {
 	if srv.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", srv.Shards())
 	}
-	if srv.eng == nil {
-		t.Fatal("Shards: 4 left the legacy engine in place")
-	}
 	if got := srv.PolicyName(); got != "least-loaded" {
 		t.Fatalf("PolicyName() = %q, want least-loaded", got)
 	}
 
-	legacy := newShardedServer(t, Config{})
-	if legacy.eng != nil || legacy.Shards() != 1 {
-		t.Fatalf("default config must run the legacy single-shard engine (eng=%v shards=%d)",
-			legacy.eng, legacy.Shards())
+	for _, shards := range []int{-1, 0, 1} {
+		one := newShardedServer(t, Config{Shards: shards})
+		if one.Shards() != 1 {
+			t.Fatalf("Shards: %d must run a one-shard engine, got %d shards", shards, one.Shards())
+		}
+		if sh := one.eng.shards[0]; sh.lo != 0 || sh.hi != 8 {
+			t.Fatalf("Shards: %d: the one shard owns [%d, %d), want [0, 8)", shards, sh.lo, sh.hi)
+		}
 	}
 
 	clamped := newShardedServer(t, Config{Shards: 100})
@@ -105,18 +109,33 @@ func TestShardedConfigResolution(t *testing.T) {
 	}
 }
 
+// TestShardedRejectsUnsupportedConfigs: unknown names, and bare random
+// (which has only a sim: form), are refused at every shard count; a
+// backbone problem is accepted, and only the sim: forms redirect on it.
 func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
-	p := shardProblem(t)
-	p.BackboneBandwidth = 100 * core.Mbps
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(p, shardLayout(t), Config{Shards: 4}); err == nil ||
-		!strings.Contains(err.Error(), "backbone") {
-		t.Fatalf("sharded + backbone redirection must be rejected, got %v", err)
-	}
-	if _, err := New(shardProblem(t), shardLayout(t), Config{Shards: 4, Policy: "no-such-policy"}); err == nil {
-		t.Fatal("sharded dispatch accepted an unknown policy")
+	for _, shards := range []int{1, 4} {
+		for _, name := range []string{"no-such-policy", "random", "sim:no-such-policy"} {
+			if _, err := New(shardProblem(t), shardLayout(t), Config{Shards: shards, Policy: name}); err == nil {
+				t.Fatalf("shards %d accepted policy %q", shards, name)
+			}
+		}
+		for name, want := range map[string]string{
+			"least-loaded":     "least-loaded",
+			"sim:least-loaded": "sim:least-loaded+redirect",
+			"sim:random":       "sim:random+redirect",
+		} {
+			if got := newShardedServer(t, Config{Shards: shards, Policy: name}).PolicyName(); got != name {
+				t.Errorf("shards %d: PolicyName() = %q without a backbone, want %q", shards, got, name)
+			}
+			bb, err := New(shardProblemBackbone(t, 100*core.Mbps), shardLayout(t), Config{Shards: shards, Policy: name})
+			if err != nil {
+				t.Fatalf("shards %d, policy %q on a backbone problem: %v", shards, name, err)
+			}
+			if got := bb.PolicyName(); got != want {
+				t.Errorf("shards %d: PolicyName() = %q on a backbone problem, want %q", shards, got, want)
+			}
+			bb.Shutdown()
+		}
 	}
 }
 
@@ -272,8 +291,17 @@ func TestShardedWholeShardDrain(t *testing.T) {
 	}
 	before := srv.Active()
 
+	// Workers on videos 4 and 5 can land sessions on the drained servers,
+	// and the drain may drop those too. Sessions live for real-time hours,
+	// so a worker's Close that finds nothing marks one the drain dropped.
 	var stop atomic.Bool
+	var workerDropped atomic.Int64
 	var wg sync.WaitGroup
+	closeWorker := func(id int64) {
+		if !srv.Close(id) {
+			workerDropped.Add(1)
+		}
+	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -289,12 +317,12 @@ func TestShardedWholeShardDrain(t *testing.T) {
 					open = append(open, info.ID)
 				}
 				if len(open) > 2 {
-					srv.Close(open[0])
+					closeWorker(open[0])
 					open = open[1:]
 				}
 			}
 			for _, id := range open {
-				srv.Close(id)
+				closeWorker(id)
 			}
 		}(w)
 	}
@@ -317,8 +345,10 @@ func TestShardedWholeShardDrain(t *testing.T) {
 	if totalFailed+totalDropped == 0 {
 		t.Error("draining a loaded shard moved nothing")
 	}
-	if got := srv.Active(); got != before-int64(totalDropped) {
-		t.Errorf("Active() = %d after drain, want %d - %d dropped", got, before, totalDropped)
+	pinnedDropped := int64(totalDropped) - workerDropped.Load()
+	if got := srv.Active(); got != before-pinnedDropped {
+		t.Errorf("Active() = %d after drain, want %d - %d dropped (%d dropped in all, %d of them worker sessions)",
+			got, before, pinnedDropped, totalDropped, workerDropped.Load())
 	}
 	for _, id := range ids {
 		srv.Close(id)
@@ -454,4 +484,33 @@ func TestShardedRepairLanding(t *testing.T) {
 	if !holds(srv.Cluster(), 0, 2) {
 		t.Fatal("landed repair copy missing from the directory")
 	}
+}
+
+// TestShardedExpiryHeapBounded opens and closes many long-lived sessions on
+// one shard: every close leaves a stale expiry entry behind, and the owner
+// must compact them away instead of keeping one per closed session until
+// its natural deadline.
+func TestShardedExpiryHeapBounded(t *testing.T) {
+	srv, err := New(shardProblem(t), shardLayout(t), Config{}) // real time: 90-minute sessions
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3 * expiryFloor
+	for i := 0; i < n; i++ {
+		info, outcome, err := srv.Open(i % 8)
+		if err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("open %d: outcome %v err %v", i, outcome, err)
+		}
+		if !srv.Close(info.ID) {
+			t.Fatalf("close %d found no session", i)
+		}
+	}
+	srv.Shutdown() // the owner has exited: its heap is safe to read
+	// The owner compacts past 4·live + expiryFloor entries, and at most one
+	// session is live whenever it looks.
+	if got, bound := len(srv.eng.shards[0].exp), 4+expiryFloor; got > bound {
+		t.Fatalf("expiry heap holds %d entries after %d open/close pairs with no live session, want ≤ %d",
+			got, n, bound)
+	}
+	assertNoLeaks(t, srv)
 }
